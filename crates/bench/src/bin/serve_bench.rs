@@ -37,7 +37,7 @@ use mga_bench::{
 use mga_core::cv::kfold_by_group;
 use mga_core::model::{FusionModel, Modality, TrainData};
 use mga_core::omp::OmpTask;
-use mga_serve::{Cluster, ClusterConfig, Engine, InferencePlan, Precision, Request, ServeConfig};
+use mga_serve::{Cluster, ClusterConfig, Engine, InferencePlan, Request, ServeConfig};
 use std::io::Write as _;
 use std::time::{Duration, Instant};
 
@@ -145,10 +145,9 @@ fn run() -> Result<(), BenchError> {
 
     // Plan-compile cost is part of the deployment story: record it in
     // the manifest so regressions in compile time are visible, not just
-    // per-request cost. Same for the quantized variants, whose compile
-    // includes scale calibration.
+    // per-request cost.
     let t0 = Instant::now();
-    let f32_plan = InferencePlan::compile_with(&model, Precision::F32);
+    let f32_plan = InferencePlan::compile(&model);
     let compile_ns = t0.elapsed().as_nanos() as f64;
     man.set_float("plan_compile_ns", compile_ns)
         .set_int("plan_weight_bytes_f32", f32_plan.weight_bytes() as i64);
@@ -158,7 +157,6 @@ fn run() -> Result<(), BenchError> {
         max_batch: 8,
         max_wait_ticks: 2,
         cache_capacity: 64,
-        precision: Precision::F32,
         ..ServeConfig::default()
     };
     let mut engine = Engine::new(&model, data.graphs, data.vectors, serve_cfg.clone());
@@ -221,71 +219,6 @@ fn run() -> Result<(), BenchError> {
         println!("    (telemetry overhead: {overhead_pct:+.1}%)");
         man.set_float("serve_one_request_bare_ns", bare_ns)
             .set_float("telemetry_overhead_pct", overhead_pct);
-    }
-
-    // Quantized plan variants, each behind the accuracy-parity gate: a
-    // bf16/int8 engine is only benchmarked (and its record only written)
-    // if it reproduces the f32 argmax on *every* CV validation sample.
-    // Calibration cost (scale fitting + weight packing, inside
-    // `compile_with`) goes into the manifest either way.
-    for (precision, record_name) in [
-        (Precision::Bf16, "serve_one_request_bf16"),
-        (Precision::Int8, "serve_one_request_int8"),
-    ] {
-        let t0 = Instant::now();
-        let qplan = InferencePlan::compile_with(&model, precision);
-        let calib_ns = t0.elapsed().as_nanos() as f64;
-        let (calib_key, parity_key, bytes_key) = match precision {
-            Precision::Bf16 => (
-                "bf16_calibration_ns",
-                "bf16_argmax_parity",
-                "plan_weight_bytes_bf16",
-            ),
-            _ => (
-                "int8_calibration_ns",
-                "int8_argmax_parity",
-                "plan_weight_bytes_int8",
-            ),
-        };
-        man.set_float(calib_key, calib_ns)
-            .set_int(bytes_key, qplan.weight_bytes() as i64);
-        drop(qplan);
-
-        let mut qengine = Engine::new(
-            &model,
-            data.graphs,
-            data.vectors,
-            ServeConfig {
-                precision,
-                ..serve_cfg.clone()
-            },
-        );
-        qengine.warm(&prep);
-        let mut qcls = vec![0usize; nh];
-        let mut disagreements = 0usize;
-        for (j, &i) in fold.val.iter().enumerate() {
-            qengine
-                .serve_one(data.sample_kernel[i], &data.aux[i], &mut qcls)
-                .expect("serve");
-            for (h, pred) in preds.iter().enumerate() {
-                if qcls[h] != pred[j] {
-                    disagreements += 1;
-                }
-            }
-        }
-        man.set_int(parity_key, (disagreements == 0) as i64);
-        if disagreements > 0 {
-            println!(
-                "{record_name:<28}          SKIPPED  ({} parity gate: {disagreements} argmax disagreements on {} val samples)",
-                precision.tag(),
-                fold.val.len()
-            );
-            continue;
-        }
-        time(record_name, &mut records, || {
-            qengine.serve_one(k0, aux0, &mut qcls).expect("serve");
-            std::hint::black_box(&qcls);
-        });
     }
 
     // Steady request stream for throughput and latency percentiles:
@@ -415,14 +348,13 @@ fn run() -> Result<(), BenchError> {
         .set_int("steady_alloc_bytes", engine.steady_alloc_bytes() as i64);
 
     // ── Cluster scaling curve: the same request stream through 1/2/4/8
-    // shard clusters on the machine-resolved data plane (persistent
-    // shard workers when the pool has threads to pin them on, inline on
-    // a single core). The driver uses the zero-allocation `submit_ref`
-    // intake and never waits on a shard inside a tick, so the curve
-    // measures the data plane, not the driver; the `cluster_scaling_8x`
-    // record is the 8-shard / 1-shard ns ratio ×1000 (lower is better),
-    // which CI gates so a change that serializes shard dispatch shows up
-    // as a regression.
+    // shard clusters (shards tick serially on the caller thread). The
+    // driver uses the zero-allocation `submit_ref` intake, so the curve
+    // measures sharding overhead — routing, admission and per-shard
+    // ticks — not the driver; the `cluster_scaling_8x` record is the
+    // 8-shard / 1-shard ns ratio ×1000 (lower is better), which CI gates
+    // so a change that inflates the cluster layer shows up as a
+    // regression.
     let mut shard_ns = Vec::new();
     for &shards in &[1usize, 2, 4, 8] {
         let ccfg = ClusterConfig {
@@ -434,12 +366,6 @@ fn run() -> Result<(), BenchError> {
         let mut cluster = Cluster::new(&model, data.graphs, data.vectors, ccfg);
         for s in 0..shards {
             cluster.engine_mut(s).warm(&prep);
-        }
-        if shards == 8 {
-            man.set_int(
-                "cluster_data_plane_workers",
-                (cluster.data_plane() == mga_serve::DataPlane::Workers) as i64,
-            );
         }
         // Bursts scale with the shard count so every shard sees full
         // micro-batches; total request count is fixed.

@@ -32,8 +32,9 @@
 //! file is sealed by an FNV-1a-64 checksum on the `[crc]` line directly
 //! before the `end` terminator — any truncation or byte mutation fails
 //! the load with [`PersistError::Malformed`] instead of silently
-//! restoring wrong weights. v1 checkpoints (no checksums, no training
-//! state) remain loadable.
+//! restoring wrong weights. Files with the retired unsealed
+//! `mga-model v1` header are rejected the same way, so every accepted
+//! checkpoint has passed its checksums.
 //!
 //! [`save_checkpoint_to_file`] writes atomically (temp file + rename), so
 //! a crash mid-write leaves the previous checkpoint intact.
@@ -204,11 +205,10 @@ fn parse_crc_hex(hex: &str, width: usize) -> Option<u64> {
         .flatten()
 }
 
-/// Verify a section's `crc=` token against its payload lines. v1
-/// sections carry no token and pass unchecked (the caller may still be
-/// protected by the file-level checksum).
+/// Verify a section's `crc=` token against its payload lines. A
+/// missing token is malformed.
 fn check_crc(tok: Option<&str>, payload: &[&str], what: &str) -> Result<(), PersistError> {
-    let Some(tok) = tok else { return Ok(()) };
+    let tok = tok.ok_or_else(|| PersistError::Malformed(format!("{what}: missing crc")))?;
     let hex = tok
         .strip_prefix("crc=")
         .ok_or_else(|| PersistError::Malformed(format!("{what}: unexpected token {tok}")))?;
@@ -400,25 +400,21 @@ fn verify_file_crc(text: &str) -> Result<(), PersistError> {
     Ok(())
 }
 
-/// Restore a model from its text checkpoint (either version), dropping
-/// any training state.
+/// Restore a model from its text checkpoint, dropping any training
+/// state.
 pub fn load_model(text: &str) -> Result<FusionModel, PersistError> {
     load_checkpoint(text).map(|(m, _)| m)
 }
 
-/// Restore a model plus, for v2 checkpoints saved mid-training, the
+/// Restore a model plus, for checkpoints saved mid-training, the
 /// [`TrainState`] needed to resume exactly.
 pub fn load_checkpoint(text: &str) -> Result<(FusionModel, Option<TrainState>), PersistError> {
     let mut lines = text.lines();
     let header = lines.next().unwrap_or("");
-    let v2 = match header {
-        "mga-model v2" => true,
-        "mga-model v1" => false,
-        _ => return Err(PersistError::Malformed(format!("bad header `{header}`"))),
-    };
-    if v2 {
-        verify_file_crc(text)?;
+    if header != "mga-model v2" {
+        return Err(PersistError::Malformed(format!("bad header `{header}`")));
     }
+    verify_file_crc(text)?;
 
     let mut modality = Modality::Multimodal;
     let mut use_aux = true;
@@ -540,15 +536,6 @@ pub fn load_checkpoint(text: &str) -> Result<(FusionModel, Option<TrainState>), 
                 let mins = parse_floats(raw_mins)?;
                 let maxs = parse_floats(raw_maxs)?;
                 aux_minmax = Some((mins, maxs));
-            }
-            // Training-state sections and the file seal only exist in
-            // v2; seeing one under a v1 header means the header itself
-            // was corrupted (which would also bypass seal verification).
-            "[train]" | "[optim]" | "[rng]" | "[moment]" | "[crc]" if !v2 => {
-                return Err(PersistError::Malformed(format!(
-                    "v2-only section {} in a v1 checkpoint",
-                    line.split_whitespace().next().unwrap_or("")
-                )));
             }
             "[train]" => {
                 tr_epoch = Some(field(&mut toks, "train epoch")?);
@@ -811,13 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_still_load() {
-        // Strip the v2 integrity features from a fresh save to produce a
-        // legacy v1 file: old header, no crc tokens, no [crc] seal.
-        let (ds, task, model, val) = trained(Modality::VectorOnly);
-        let data = task.train_data(&ds);
-        let v2 = save_model(&model, 12, 5);
-        let v1: String = v2
+    fn v1_checkpoints_are_rejected_with_a_typed_error() {
+        // A legacy v1 file: old header, no crc tokens, no [crc] seal.
+        let (_, _, model, _) = trained(Modality::VectorOnly);
+        let v1: String = save_model(&model, 12, 5)
             .lines()
             .filter(|l| !l.starts_with("[crc] "))
             .map(|l| {
@@ -828,8 +812,18 @@ mod tests {
                 }
             })
             .collect();
-        let restored = load_model(&v1).expect("v1 load");
-        assert_eq!(model.predict(&data, &val), restored.predict(&data, &val));
+        assert!(v1.starts_with("mga-model v1\n"));
+        match load_model(&v1) {
+            Err(PersistError::Malformed(m)) => assert!(m.contains("v1"), "{m}"),
+            other => panic!(
+                "v1 checkpoint must be Malformed, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        assert!(matches!(
+            load_checkpoint_bytes(v1.as_bytes()),
+            Err(PersistError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use mga_obs::{clock, metrics};
 use crate::cache::EmbeddingCache;
 use crate::error::ServeError;
 use crate::flight::{drift_event_to_json, FlightRecord, FlightRecorder, MAX_FLIGHT_HEADS};
-use crate::plan::{InferencePlan, Precision};
+use crate::plan::InferencePlan;
 
 /// Batching policy for the serving loop. Time is *logical*: the engine
 /// never reads a wall clock on a **decision** path, so a given
@@ -37,9 +37,6 @@ pub struct ServeConfig {
     /// limit. `usize::MAX` (the default) keeps the standalone engine
     /// unbounded; the cluster always sets a real bound.
     pub queue_capacity: usize,
-    /// Weight precision the plan is compiled at. Quantized precisions
-    /// are approximate — gate them on argmax parity before serving.
-    pub precision: Precision,
     /// Record per-request flight records, stage latency histograms and
     /// drift signals (default on; the recorder is allocation-free, so
     /// production leaves this enabled). Turning it off changes **no**
@@ -51,15 +48,6 @@ pub struct ServeConfig {
     pub flight_capacity: usize,
     /// Drift-monitor tuning (windows, EWMA weight, thresholds).
     pub drift: DriftConfig,
-    /// SLO-aware adaptive batching: when `Some(slo)`, a partial batch is
-    /// cut early ([`BatchMode::SloCut`]) the moment the admission-style
-    /// completion estimate for the front request overshoots
-    /// `enqueued + slo` ticks — shallow queues stop paying the full
-    /// `max_wait_ticks` for batching that is not coming, deep queues
-    /// still batch up to `max_batch` for GEMM efficiency. The policy is
-    /// deterministic in logical ticks (never wall-clock); `None` (the
-    /// default) keeps the fixed wait-timer policy bit-for-bit.
-    pub adaptive_slo_ticks: Option<u64>,
 }
 
 impl Default for ServeConfig {
@@ -69,11 +57,9 @@ impl Default for ServeConfig {
             max_wait_ticks: 2,
             cache_capacity: 64,
             queue_capacity: usize::MAX,
-            precision: Precision::F32,
             telemetry: true,
             flight_capacity: 4096,
             drift: DriftConfig::default(),
-            adaptive_slo_ticks: None,
         }
     }
 }
@@ -87,9 +73,6 @@ pub enum BatchMode {
     Full,
     /// The oldest request aged out (`max_wait_ticks`).
     WaitTimer,
-    /// Adaptive policy: waiting out the timer would blow the SLO, so the
-    /// partial batch went now.
-    SloCut,
     /// Forced dispatch outside the tick policy (`flush`, shutdown, or a
     /// staged swap draining via a synchronous call).
     Flush,
@@ -100,56 +83,9 @@ impl BatchMode {
         match self {
             BatchMode::Full => "full",
             BatchMode::WaitTimer => "wait",
-            BatchMode::SloCut => "slo_cut",
             BatchMode::Flush => "flush",
         }
     }
-}
-
-/// The batching policy, as a pure function of queue state and logical
-/// time: should a batch dispatch *now*, and why. This is the single
-/// source of truth shared by [`Engine::tick`] and the cluster's
-/// caller-side queue mirror (worker data plane) — both must form the
-/// exact same batches for replays to stay bitwise identical, so neither
-/// reimplements it.
-///
-/// `front_enqueued` is the enqueue tick of the oldest queued request
-/// (`None` when the queue is empty).
-#[inline]
-pub fn dispatch_due(
-    len: usize,
-    front_enqueued: Option<u64>,
-    now: u64,
-    cfg: &ServeConfig,
-) -> Option<BatchMode> {
-    if len >= cfg.max_batch {
-        return Some(BatchMode::Full);
-    }
-    let enq = front_enqueued?;
-    // `now > enq` in both timer arms: a request never dispatches inside
-    // its own submit tick except as part of a full batch.
-    if now > enq && now - enq >= cfg.max_wait_ticks {
-        return Some(BatchMode::WaitTimer);
-    }
-    if let Some(slo) = cfg.adaptive_slo_ticks {
-        if now > enq {
-            // Mirror the admission layer's completion estimate for this
-            // queue state: a partial batch that keeps waiting lands at
-            // the wait-timer horizon. If that already overshoots the
-            // front request's SLO budget, cut the batch now.
-            let eta = crate::admission::estimated_completion_tick(
-                now,
-                len,
-                cfg.max_batch,
-                cfg.max_wait_ticks,
-                0,
-            );
-            if eta > enq + slo {
-                return Some(BatchMode::SloCut);
-            }
-        }
-    }
-    None
 }
 
 /// One inference request: which kernel, and its dynamic (auxiliary)
@@ -202,7 +138,7 @@ struct HotMetrics {
     /// Chosen micro-batch widths (fixed-bucket; widths are small ints).
     batch_size: &'static metrics::Histogram,
     /// One counter per [`BatchMode`], indexed by discriminant.
-    batch_mode: [&'static Counter; 4],
+    batch_mode: [&'static Counter; 3],
 }
 
 impl HotMetrics {
@@ -225,7 +161,6 @@ impl HotMetrics {
             batch_mode: [
                 metrics::counter("serve.batch.mode.full"),
                 metrics::counter("serve.batch.mode.wait"),
-                metrics::counter("serve.batch.mode.slo_cut"),
                 metrics::counter("serve.batch.mode.flush"),
             ],
         }
@@ -342,7 +277,7 @@ impl<'a> Engine<'a> {
         cfg: ServeConfig,
     ) -> Engine<'a> {
         assert!(cfg.max_batch > 0, "max_batch must be positive");
-        let plan = InferencePlan::compile_with(model, cfg.precision);
+        let plan = InferencePlan::compile(model);
         assert!(
             plan.num_heads() <= MAX_FLIGHT_HEADS,
             "flight records hold at most {MAX_FLIGHT_HEADS} heads"
@@ -470,8 +405,8 @@ impl<'a> Engine<'a> {
 
     /// [`Engine::submit`] from borrowed parts — no `Request` built, no
     /// `Vec<f32>` allocated: the aux row is copied into a recycled
-    /// buffer from the engine's spare pool. This is the cluster data
-    /// plane's intake path; it queues exactly what
+    /// buffer from the engine's spare pool. This is the cluster's
+    /// intake path; it queues exactly what
     /// `submit(Request { id, kernel, aux: aux.to_vec() })` would.
     pub fn submit_slice(&mut self, id: u64, kernel: usize, aux: &[f32]) -> Result<(), ServeError> {
         self.admit(id, kernel, aux, None)
@@ -608,14 +543,19 @@ impl<'a> Engine<'a> {
         done
     }
 
-    /// [`dispatch_due`] over the engine's own queue state.
+    /// The batching policy, a pure function of queue state and logical
+    /// time: should a batch dispatch *now*, and why.
     fn due(&self) -> Option<BatchMode> {
-        dispatch_due(
-            self.queue.len(),
-            self.queue.front().map(|p| p.enqueued_tick),
-            self.tick,
-            &self.cfg,
-        )
+        if self.queue.len() >= self.cfg.max_batch {
+            return Some(BatchMode::Full);
+        }
+        let enq = self.queue.front()?.enqueued_tick;
+        // `tick > enq`: a request never dispatches inside its own submit
+        // tick except as part of a full batch.
+        if self.tick > enq && self.tick - enq >= self.cfg.max_wait_ticks {
+            return Some(BatchMode::WaitTimer);
+        }
+        None
     }
 
     /// Dispatch everything still queued, regardless of wait policy
@@ -627,13 +567,6 @@ impl<'a> Engine<'a> {
         }
         self.lat.queue_depth.set(0.0);
         done
-    }
-
-    /// Pop the oldest completed response, if any — the worker data
-    /// plane's response-ring feed ([`Engine::drain`] moves everything at
-    /// once instead).
-    pub fn pop_completed(&mut self) -> Option<Response> {
-        self.completed.pop_front()
     }
 
     /// Move completed responses (in completion order) into `out`;
@@ -692,7 +625,6 @@ impl<'a> Engine<'a> {
             batch,
             batch_mode,
             cache_hit,
-            precision: self.plan.precision().tag(),
             e2e_ns,
             num_heads: nh as u8,
             ..FlightRecord::default()

@@ -32,11 +32,8 @@
 //! row-stable under batching, and class decisions share the training
 //! argmax comparator. The property tests in `tests/serve_parity.rs`
 //! enforce this across request orderings, batch sizes, thread counts
-//! and cache states. Plans can also be compiled at
-//! [`plan::Precision::Bf16`] / [`plan::Precision::Int8`]; those are
-//! approximate and only eligible for serving behind an exact-argmax
-//! parity gate against the f32 plan (enforced by `serve_bench` on the
-//! CV test folds and by `tests/quantized_parity.rs`).
+//! and cache states. Plans are f32 only: the plan is small enough to
+//! stay cache-resident, so narrower weight formats bought no speed.
 
 //!
 //! Serving is also the layer that must explain itself in production, so
@@ -45,7 +42,7 @@
 //!
 //! * [`flight::FlightRecorder`] — a fixed-capacity ring of per-request
 //!   [`flight::FlightRecord`]s (kernel, ticks, batch size, cache
-//!   hit/miss, precision, per-head class + decision margin), dumped as
+//!   hit/miss, per-head class + decision margin), dumped as
 //!   JSONL on demand or to `MGA_FLIGHT=<path>` at end of run;
 //! * per-stage latency histograms (`serve.lat.*`, log₂ ns buckets via
 //!   `mga_obs::hist`) measured inside the engine;
@@ -87,13 +84,12 @@ pub mod error;
 pub mod flight;
 pub mod plan;
 pub mod router;
-mod worker;
 
 pub use admission::{Decision, ShardView, ShedReason};
 pub use cache::EmbeddingCache;
 pub use cluster::{load_candidate, Cluster, ClusterConfig, DataPlane, Health};
-pub use engine::{dispatch_due, BatchMode, Engine, Request, Response, ServeConfig};
+pub use engine::{BatchMode, Engine, Request, Response, ServeConfig};
 pub use error::{ServeError, SwapError};
 pub use flight::{Disposition, FlightRecord, FlightRecorder};
-pub use plan::{InferencePlan, Precision};
+pub use plan::InferencePlan;
 pub use router::Router;

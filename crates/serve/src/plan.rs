@@ -2,78 +2,31 @@
 
 use mga_core::model::FusionModel;
 use mga_nn::infer;
-use mga_nn::quant::{self, Bf16Weights, Int8Weights};
 use mga_nn::scaler::MinMaxScaler;
 use mga_nn::simd;
 use mga_nn::{FusedAct, Tensor};
 
-/// Weight precision of a compiled [`InferencePlan`].
-///
-/// `F32` is the reference: bitwise-identical to the training forward
-/// pass. The quantized variants trade weight memory for (bounded)
-/// rounding error and are only eligible for serving behind the
-/// exact-argmax parity gate `serve_bench` enforces against the f32 plan
-/// on the CV test folds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Precision {
-    #[default]
-    F32,
-    /// bfloat16 weights (f32 activations/accumulators).
-    Bf16,
-    /// int8 weights with per-output-feature f32 scales.
-    Int8,
-}
-
-impl Precision {
-    /// Lower-case tag used in metric names and bench record labels.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Precision::F32 => "f32",
-            Precision::Bf16 => "bf16",
-            Precision::Int8 => "int8",
-        }
-    }
-}
-
-/// One fused-linear stage (trunk or head) with its weights stored at the
-/// plan's precision. The f32 variant carries the matmul panel kernel
-/// resolved at compile time — the per-request path is a cached function
-/// pointer, never a dispatch decision.
-enum StageWeights {
-    F32 { w: Tensor, panel: simd::PanelFn },
-    Bf16(Bf16Weights),
-    Int8(Int8Weights),
-}
-
+/// One fused-linear stage (trunk or head). Carries the matmul panel
+/// kernel resolved at compile time — the per-request path is a cached
+/// function pointer, never a dispatch decision.
 struct Stage {
-    w: StageWeights,
+    w: Tensor,
     b: Tensor,
+    panel: simd::PanelFn,
 }
 
 impl Stage {
-    fn compile(w: &Tensor, b: &Tensor, precision: Precision) -> Stage {
-        let w = match precision {
-            Precision::F32 => {
-                let (k, n) = w.shape();
-                StageWeights::F32 {
-                    w: w.clone(),
-                    panel: simd::select_matmul(1, k, n),
-                }
-            }
-            Precision::Bf16 => StageWeights::Bf16(Bf16Weights::quantize(w)),
-            Precision::Int8 => StageWeights::Int8(Int8Weights::quantize(w)),
-        };
-        Stage { w, b: b.clone() }
+    fn compile(w: &Tensor, b: &Tensor) -> Stage {
+        let (k, n) = w.shape();
+        Stage {
+            w: w.clone(),
+            b: b.clone(),
+            panel: simd::select_matmul(1, k, n),
+        }
     }
 
     fn forward(&self, out: &mut [f32], x: &[f32], rows: usize, act: FusedAct) {
-        match &self.w {
-            StageWeights::F32 { w, panel } => {
-                infer::fused_linear_with(*panel, out, x, rows, w, &self.b, act)
-            }
-            StageWeights::Bf16(w) => quant::fused_linear_bf16_into(out, x, rows, w, &self.b, act),
-            StageWeights::Int8(w) => quant::fused_linear_int8_into(out, x, rows, w, &self.b, act),
-        }
+        infer::fused_linear_with(self.panel, out, x, rows, &self.w, &self.b, act)
     }
 }
 
@@ -84,13 +37,10 @@ impl Stage {
 /// *not* here — it lives in the [`crate::EmbeddingCache`], keyed by
 /// kernel.
 ///
-/// At [`Precision::F32`] the forward pass re-enters the exact kernels
-/// the training tape's `FusedLinear` op calls (via
-/// [`infer::fused_linear_with`] with the panel resolved at compile
-/// time), so plan outputs are bitwise-identical to
-/// `FusionModel::predict` on the same inputs. Quantized plans decode
-/// their weights inside the same loop structure and are approximate by
-/// construction — ship them only behind the argmax parity gate.
+/// The forward pass re-enters the exact kernels the training tape's
+/// `FusedLinear` op calls (via [`infer::fused_linear_with`] with the
+/// panel resolved at compile time), so plan outputs are
+/// bitwise-identical to `FusionModel::predict` on the same inputs.
 pub struct InferencePlan {
     trunk: Stage,
     heads: Vec<Stage>,
@@ -99,50 +49,27 @@ pub struct InferencePlan {
     in_dim: usize,
     aux_dim: usize,
     hidden: usize,
-    precision: Precision,
 }
 
 impl InferencePlan {
-    /// Snapshot `model`'s classifier weights into a frozen f32 plan.
+    /// Snapshot `model`'s classifier weights into a frozen plan.
     pub fn compile(model: &FusionModel) -> InferencePlan {
-        InferencePlan::compile_with(model, Precision::F32)
-    }
-
-    /// Snapshot `model`'s classifier at the given weight precision.
-    /// Quantized variants calibrate their scales here (the
-    /// "calibration" cost `serve_bench` records).
-    pub fn compile_with(model: &FusionModel, precision: Precision) -> InferencePlan {
         mga_obs::span!("serve.compile");
         let e = model.export();
         InferencePlan {
-            trunk: Stage::compile(e.trunk_w, e.trunk_b, precision),
-            heads: e
-                .heads
-                .iter()
-                .map(|(w, b)| Stage::compile(w, b, precision))
-                .collect(),
+            trunk: Stage::compile(e.trunk_w, e.trunk_b),
+            heads: e.heads.iter().map(|(w, b)| Stage::compile(w, b)).collect(),
             head_sizes: e.head_sizes.to_vec(),
             aux_scaler: e.aux_scaler.cloned(),
             in_dim: e.in_dim,
             aux_dim: e.aux_dim,
             hidden: e.hidden,
-            precision,
         }
     }
 
-    /// The weight precision this plan was compiled at.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Bytes of packed weight storage (excludes biases — those stay f32
-    /// at every precision).
+    /// Bytes of packed weight storage (excludes biases).
     pub fn weight_bytes(&self) -> usize {
-        let stage = |s: &Stage| match &s.w {
-            StageWeights::F32 { w, .. } => std::mem::size_of_val(w.data()),
-            StageWeights::Bf16(w) => w.weight_bytes(),
-            StageWeights::Int8(w) => w.weight_bytes(),
-        };
+        let stage = |s: &Stage| std::mem::size_of_val(s.w.data());
         stage(&self.trunk) + self.heads.iter().map(stage).sum::<usize>()
     }
 

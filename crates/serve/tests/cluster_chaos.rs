@@ -32,8 +32,8 @@ use mga_gnn::GnnConfig;
 use mga_kernels::catalog::openmp_thread_dataset;
 use mga_obs::fault;
 use mga_serve::{
-    load_candidate, Cluster, ClusterConfig, DataPlane, Disposition, Health, Request, Response,
-    Router, ServeConfig, ServeError, SwapError,
+    load_candidate, Cluster, ClusterConfig, Disposition, Health, Request, Response, Router,
+    ServeConfig, ServeError, SwapError,
 };
 use mga_sim::cpu::CpuSpec;
 use mga_sim::openmp::thread_space;
@@ -174,18 +174,16 @@ struct RunResult {
     live_shards: usize,
 }
 
-/// Drive a fixed submit/tick script through a fresh 4-shard cluster on
-/// the given data plane, optionally killing one shard at a given tick,
+/// Drive a fixed submit/tick script through a fresh 4-shard cluster,
+/// optionally killing one shard at a given tick,
 /// and fold every response (in drain order) into an FNV checksum. Each
 /// response is also checked against the v1 sequential reference —
 /// rerouting must change *where* a request is served, never *what* it
 /// answers.
-fn run_script(c: &'static Ctx, kill: Option<(usize, u64)>, plane: DataPlane) -> RunResult {
+fn run_script(c: &'static Ctx, kill: Option<(usize, u64)>) -> RunResult {
     let data = train_data(c);
     let n = c.ds.samples.len();
-    let mut cfg = cluster_cfg(4, 16);
-    cfg.data_plane = plane;
-    let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cfg);
+    let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(4, 16));
     let mut out: Vec<Response> = Vec::new();
     let mut shed = 0u64;
     let mut checksum = 0xcbf2_9ce4_8422_2325u64;
@@ -244,7 +242,7 @@ fn run_script(c: &'static Ctx, kill: Option<(usize, u64)>, plane: DataPlane) -> 
 #[test]
 fn kill_shard_reroutes_without_losing_a_request_and_replays_bitwise() {
     let _g = lock();
-    let baseline = run_script(ctx(), None, DataPlane::Inline);
+    let baseline = run_script(ctx(), None);
     assert_eq!(
         baseline.accepted, baseline.answered,
         "no-failure run answers everything"
@@ -254,8 +252,8 @@ fn kill_shard_reroutes_without_losing_a_request_and_replays_bitwise() {
         "no-failure run sheds nothing at capacity 16"
     );
 
-    let a = run_script(ctx(), Some((1, 4)), DataPlane::Inline);
-    let b = run_script(ctx(), Some((1, 4)), DataPlane::Inline);
+    let a = run_script(ctx(), Some((1, 4)));
+    let b = run_script(ctx(), Some((1, 4)));
     assert_eq!(
         a.checksum, b.checksum,
         "chaos replay must be bitwise identical"
@@ -292,7 +290,7 @@ fn fault_injected_scenarios_replay_and_never_lose_requests() {
     ] {
         let run = |spec: &str| {
             fault::set_spec(spec).expect("valid spec");
-            let r = run_script(c, None, DataPlane::Inline);
+            let r = run_script(c, None);
             fault::clear();
             r
         };
@@ -581,139 +579,15 @@ fn stalls_degrade_then_recover_and_gauges_publish() {
     assert_eq!(cluster.accepted_total(), cluster.answered_total());
 }
 
-/// The worker data plane serves bitwise-identical bytes to the inline
-/// plane: same script, same kills, same armed fault specs — same
-/// checksum over (id, classes, enqueued_tick, completed_tick) in drain
-/// order. This is the central determinism claim of the persistent-worker
-/// rework: run-ahead changes *when* work happens on the wall clock,
-/// never *what* the engines compute on the logical clock.
+/// The cluster's steady state allocates no engine scratch: after warmup
+/// every shard serves from recycled buffers.
 #[test]
-fn worker_plane_replays_inline_bitwise() {
-    let _g = lock();
-    let c = ctx();
-
-    // Clean run and kill-at-tick runs.
-    for kill in [None, Some((1usize, 4u64)), Some((0, 7))] {
-        let inline = run_script(c, kill, DataPlane::Inline);
-        let workers = run_script(c, kill, DataPlane::Workers);
-        assert_eq!(
-            inline.checksum, workers.checksum,
-            "kill={kill:?}: worker plane diverged from inline"
-        );
-        assert_eq!(inline.accepted, workers.accepted);
-        assert_eq!(inline.shed, workers.shed);
-        assert_eq!(
-            workers.accepted, workers.answered,
-            "kill={kill:?}: worker plane lost an accepted request"
-        );
-    }
-
-    // Armed fault scripts: crash, stall, misdirect. The fault draw
-    // sequence is caller-side on both planes, so a spec replays to the
-    // same (shard, tick) hits and the same served bytes.
-    for spec in [
-        "shard:crash:0.004:3",
-        "shard:stall:0.05:11",
-        "route:misdirect:0.3:13",
-    ] {
-        let run = |plane: DataPlane| {
-            fault::set_spec(spec).expect("valid spec");
-            let r = run_script(c, None, plane);
-            fault::clear();
-            r
-        };
-        let inline = run(DataPlane::Inline);
-        let workers = run(DataPlane::Workers);
-        assert_eq!(
-            inline.checksum, workers.checksum,
-            "{spec}: worker plane diverged from inline"
-        );
-        assert_eq!(inline.live_shards, workers.live_shards, "{spec}");
-        assert_eq!(
-            workers.accepted, workers.answered,
-            "{spec}: worker plane lost an accepted request"
-        );
-    }
-}
-
-/// Hot swap under load on the worker plane: the staged plan installs at
-/// the same batch boundary as inline (backlog on the old plan, new
-/// admissions on the new), and the full response stream matches inline
-/// bitwise.
-#[test]
-fn worker_plane_swap_under_load_matches_inline() {
+fn steady_state_allocates_no_engine_scratch() {
     let _g = lock();
     let c = ctx();
     let data = train_data(c);
     let n = c.ds.samples.len();
-    let run = |plane: DataPlane| -> (u64, usize) {
-        let mut cfg = cluster_cfg(1, 64);
-        cfg.data_plane = plane;
-        let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cfg);
-        for i in 0..6usize {
-            cluster
-                .submit(request(&data, i as u64, i % n), None)
-                .expect("admit");
-        }
-        cluster.swap(0, &c.model_v2).expect("candidate stages");
-        for i in 6..10usize {
-            cluster
-                .submit(request(&data, i as u64, i % n), None)
-                .expect("admit");
-        }
-        // A few ticks of concurrent dispatch before the final flush, so
-        // the worker actually runs ahead across the swap boundary.
-        cluster.tick();
-        cluster.tick();
-        cluster.flush();
-        let mut out = Vec::new();
-        cluster.drain(&mut out);
-        let mut checksum = 0xcbf2_9ce4_8422_2325u64;
-        for r in &out {
-            let sample = (r.id as usize) % n;
-            let reference = if r.id < 6 {
-                &c.expected[sample]
-            } else {
-                &c.expected_v2[sample]
-            };
-            assert_eq!(
-                &r.classes, reference,
-                "request {} crossed the swap boundary",
-                r.id
-            );
-            fnv(&mut checksum, r.id);
-            for &cl in &r.classes {
-                fnv(&mut checksum, cl as u64);
-            }
-            fnv(&mut checksum, r.enqueued_tick);
-            fnv(&mut checksum, r.completed_tick);
-        }
-        (checksum, out.len())
-    };
-    let (inline_sum, inline_n) = run(DataPlane::Inline);
-    let (worker_sum, worker_n) = run(DataPlane::Workers);
-    assert_eq!(inline_n, 10, "zero-drop on inline");
-    assert_eq!(worker_n, 10, "zero-drop on workers");
-    assert_eq!(
-        inline_sum, worker_sum,
-        "swap under load must serve identical bytes on both planes"
-    );
-}
-
-/// Worker-plane plumbing preserves the engine's zero-alloc steady state:
-/// aux rows ride the preallocated intake slab and responses move through
-/// a fixed ring, so after warmup the shard engines allocate nothing.
-/// Worker gauges publish sane values.
-#[test]
-fn worker_plane_steady_state_allocates_nothing_and_gauges_publish() {
-    let _g = lock();
-    let c = ctx();
-    let data = train_data(c);
-    let n = c.ds.samples.len();
-    let mut cfg = cluster_cfg(2, 16);
-    cfg.data_plane = DataPlane::Workers;
-    let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cfg);
-    assert_eq!(cluster.data_plane(), DataPlane::Workers);
+    let mut cluster = Cluster::new(&c.model, data.graphs, data.vectors, cluster_cfg(2, 16));
     // Warmup: every kernel through once so caches fill and scratch
     // high-water marks are reached.
     for pass in 0..3u64 {
@@ -747,35 +621,22 @@ fn worker_plane_steady_state_allocates_nothing_and_gauges_publish() {
         assert_eq!(
             cluster.engine(s).steady_alloc_bytes(),
             base,
-            "shard {s} allocated scratch in the steady state on the worker plane"
+            "shard {s} allocated scratch in the steady state"
         );
-    }
-    cluster.publish_metrics();
-    assert_eq!(
-        mga_obs::metrics::gauge("serve.cluster.data_plane").get(),
-        1.0,
-        "worker plane publishes its identity"
-    );
-    for s in 0..cluster.shards() {
-        let name: &'static str = Box::leak(format!("serve.shard.{s}.worker.cmds").into_boxed_str());
-        let cmds = mga_obs::metrics::gauge(name).get();
-        assert!(cmds > 0.0, "shard {s} worker processed no commands");
     }
     assert_eq!(cluster.accepted_total(), cluster.answered_total());
 }
 
-/// Environment matrix: the chaos script's checksum is invariant across
-/// `MGA_THREADS` (pool size is latched per process, so each combination
-/// runs as a child process) and `MGA_SERVE_PLANE` steering an
-/// `Auto`-configured cluster. One kill-at-tick scenario with a stall
-/// fault armed — scheduling pressure from every direction, same bytes.
+/// The chaos script's checksum is invariant across `MGA_THREADS` (pool
+/// size is latched per process, so each thread count runs as a child
+/// process). One kill-at-tick scenario with a stall fault armed.
 #[test]
-fn chaos_checksum_invariant_across_threads_and_planes() {
+fn chaos_checksum_invariant_across_threads() {
     const DUMP: &str = "MGA_CLUSTER_CHAOS_DUMP";
     let compute = || {
         let _g = lock();
         fault::set_spec("shard:stall:0.05:11").expect("valid spec");
-        let r = run_script(ctx(), Some((1, 4)), DataPlane::Auto);
+        let r = run_script(ctx(), Some((1, 4)));
         fault::clear();
         (r.checksum, r.accepted, r.shed)
     };
@@ -787,39 +648,33 @@ fn chaos_checksum_invariant_across_threads_and_planes() {
     }
     let reference = compute();
     let exe = std::env::current_exe().expect("test binary path");
-    for plane in ["inline", "workers"] {
-        for threads in ["1", "4"] {
-            let dump = std::env::temp_dir().join(format!(
-                "mga_cluster_chaos_{}_{plane}_{threads}.txt",
-                std::process::id()
-            ));
-            let status = std::process::Command::new(&exe)
-                .args([
-                    "--exact",
-                    "chaos_checksum_invariant_across_threads_and_planes",
-                    "--nocapture",
-                ])
-                .env("MGA_SERVE_PLANE", plane)
-                .env("MGA_THREADS", threads)
-                .env(DUMP, &dump)
-                .status()
-                .expect("spawn chaos child");
-            assert!(
-                status.success(),
-                "MGA_SERVE_PLANE={plane} MGA_THREADS={threads} child run failed"
-            );
-            let text = std::fs::read_to_string(&dump).expect("read chaos dump");
-            let _ = std::fs::remove_file(&dump);
-            let parts: Vec<u64> = text
-                .split_whitespace()
-                .map(|p| p.parse().unwrap())
-                .collect();
-            assert_eq!(
-                (parts[0], parts[1], parts[2]),
-                reference,
-                "MGA_SERVE_PLANE={plane} MGA_THREADS={threads} diverged bitwise from this process"
-            );
-        }
+    for threads in ["1", "4"] {
+        let dump = std::env::temp_dir().join(format!(
+            "mga_cluster_chaos_{}_{threads}.txt",
+            std::process::id()
+        ));
+        let status = std::process::Command::new(&exe)
+            .args([
+                "--exact",
+                "chaos_checksum_invariant_across_threads",
+                "--nocapture",
+            ])
+            .env("MGA_THREADS", threads)
+            .env(DUMP, &dump)
+            .status()
+            .expect("spawn chaos child");
+        assert!(status.success(), "MGA_THREADS={threads} child run failed");
+        let text = std::fs::read_to_string(&dump).expect("read chaos dump");
+        let _ = std::fs::remove_file(&dump);
+        let parts: Vec<u64> = text
+            .split_whitespace()
+            .map(|p| p.parse().unwrap())
+            .collect();
+        assert_eq!(
+            (parts[0], parts[1], parts[2]),
+            reference,
+            "MGA_THREADS={threads} diverged bitwise from this process"
+        );
     }
 }
 
